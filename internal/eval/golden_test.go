@@ -2,8 +2,11 @@ package eval
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -109,3 +112,39 @@ func TestGoldenChurnTimeline(t *testing.T) {
 	}
 	checkGolden(t, "churn_timeline_gnm256", r.Format())
 }
+
+// TestGoldenFig8 pins the Fig. 8 convergence messaging of every
+// event-driven control plane (full path vector, S4's two phases, the
+// vicinity protocol). Below the rounded table it records each per-node
+// mean exactly, so a single message more or less anywhere fails here.
+func TestGoldenFig8(t *testing.T) {
+	r := Fig8Convergence([]int{64, 128, 256}, 128, 7)
+	var b strings.Builder
+	b.WriteString(r.Format())
+	b.WriteString("exact:\n")
+	for _, p := range r.Points {
+		fmt.Fprintf(&b, "  n=%d pv=%s extrapolated=%t s4=%s nddisco=%s disco1=%s disco3=%s\n",
+			p.N, exact(p.PathVector), p.PVExtrapolated, exact(p.S4), exact(p.NDDisco), exact(p.Disco1), exact(p.Disco3))
+	}
+	checkGolden(t, "fig8_gnm64_128_256", b.String())
+}
+
+// TestGoldenChurn pins `-exp churn`: the failed links and every trial's
+// triggered cost exactly, plus the refresh cost, on top of the rounded
+// report.
+func TestGoldenChurn(t *testing.T) {
+	r, err := ChurnCost(128, 17, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	b.WriteString(r.Format())
+	fmt.Fprintf(&b, "exact: initial=%s triggered=%s refresh=%s\n", exact(r.Initial), exact(r.Triggered), exact(r.Refresh))
+	for i, e := range r.Failed {
+		fmt.Fprintf(&b, "  trial %d: link %v triggered=%s\n", i, e, exact(r.TriggeredEach[i]))
+	}
+	checkGolden(t, "churn_gnm128", b.String())
+}
+
+// exact formats f with the fewest digits that round-trip.
+func exact(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }

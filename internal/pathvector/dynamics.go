@@ -1,8 +1,9 @@
 package pathvector
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"disco/internal/graph"
 )
@@ -14,14 +15,6 @@ import (
 // protocols use and that the vicinity acceptance rule needs to recover
 // destinations it dropped while they looked too far away (admission is
 // monotone during initial convergence but not across failures).
-
-// edgeKey canonically identifies an undirected node pair.
-func edgeKey(u, v graph.NodeID) uint64 {
-	if u > v {
-		u, v = v, u
-	}
-	return uint64(uint32(u))<<32 | uint64(uint32(v))
-}
 
 // FailLink fails the link between u and v: both endpoints immediately drop
 // every candidate learned from the dead neighbor and re-announce; no
@@ -40,39 +33,47 @@ func (p *Protocol) FailLink(u, v graph.NodeID) error {
 		return fmt.Errorf("pathvector: link %d-%d already failed", u, v)
 	}
 	if p.dead == nil {
-		p.dead = make(map[uint64]bool)
+		p.dead = make([]bool, p.g.M())
 	}
-	p.dead[edgeKey(u, v)] = true
-	p.dropNeighbor(p.nodes[u], v)
-	p.dropNeighbor(p.nodes[v], u)
+	// A node pair is one link: parallel edges between u and v fail together.
+	for _, e := range p.g.Neighbors(u) {
+		if e.To == v {
+			p.dead[e.EID] = true
+		}
+	}
+	p.dropNeighbor(&p.nodes[u], v)
+	p.dropNeighbor(&p.nodes[v], u)
 	return nil
 }
 
 // LinkAlive reports whether the link between u and v is usable.
 func (p *Protocol) LinkAlive(u, v graph.NodeID) bool {
-	return p.dead == nil || !p.dead[edgeKey(u, v)]
+	if p.dead == nil {
+		return true
+	}
+	id := p.g.EdgeID(u, v)
+	return id < 0 || !p.dead[id]
 }
 
 // dropNeighbor removes every candidate nd learned via the dead neighbor
 // and reselects the affected destinations. Destinations are processed in
-// sorted order: reselection can admit or evict vicinity members, so map
-// iteration order here would leak into the converged state and message
-// counts.
+// sorted order: reselection can admit or evict vicinity members, so slot
+// order here would leak into the converged state and message counts.
 func (p *Protocol) dropNeighbor(nd *node, via graph.NodeID) {
-	dsts := make([]graph.NodeID, 0, len(nd.cand))
-	for dst, m := range nd.cand {
-		if _, ok := m[via]; ok {
-			dsts = append(dsts, dst)
+	var hit []int32
+	for s := range nd.slots {
+		if nd.dropCand(int32(s), via) {
+			hit = append(hit, int32(s))
 		}
 	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	for _, dst := range dsts {
-		m := nd.cand[dst]
-		delete(m, via)
-		if len(m) == 0 {
-			delete(nd.cand, dst)
-		}
-		p.reselect(nd, dst)
+	p.reselectByDst(nd, hit)
+}
+
+// reselectByDst reselects the given slots in destination order.
+func (p *Protocol) reselectByDst(nd *node, slots []int32) {
+	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(nd.slots[a].dst, nd.slots[b].dst) })
+	for _, s := range slots {
+		p.reselect(nd, s)
 	}
 }
 
@@ -82,10 +83,12 @@ func (p *Protocol) dropNeighbor(nd *node, via graph.NodeID) {
 // destinations get re-offered and re-admitted, and members whose distance
 // grew get re-evaluated against them.
 func (p *Protocol) Refresh() {
-	for _, nd := range p.nodes {
-		//disco:orderinvariant markDirty only inserts into the dirty set; flush drains it in sorted order
-		for dst := range nd.best {
-			p.markDirty(nd, dst)
+	for i := range p.nodes {
+		nd := &p.nodes[i]
+		for s := range nd.slots {
+			if nd.slots[s].best.path != nil {
+				p.markDirty(nd, int32(s))
+			}
 		}
 	}
 }
@@ -115,17 +118,20 @@ func (p *Protocol) RefreshUntilStable(maxRounds int) int {
 
 // tableFingerprint hashes all best tables. Each (node, dst, dist) entry is
 // hashed independently and the results are summed, so the fingerprint is
-// independent of map iteration order.
+// independent of slot order.
 func (p *Protocol) tableFingerprint() uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
 	)
 	var total uint64
-	for v, nd := range p.nodes {
-		for dst, r := range nd.best {
+	for v := range p.nodes {
+		for _, sl := range p.nodes[v].slots {
+			if sl.best.path == nil {
+				continue
+			}
 			h := uint64(offset)
-			for _, x := range [3]uint64{uint64(v), uint64(dst), uint64(int64(r.dist * (1 << 20)))} {
+			for _, x := range [3]uint64{uint64(v), uint64(sl.dst), uint64(int64(sl.best.dist * (1 << 20)))} {
 				for i := 0; i < 8; i++ {
 					h ^= (x >> (8 * uint(i))) & 0xff
 					h *= prime
@@ -143,31 +149,20 @@ func (p *Protocol) tableFingerprint() uint64 {
 // FailLink models immediate detection and keeps re-convergence
 // deterministic in tests.
 func (p *Protocol) PruneStale() {
-	for _, nd := range p.nodes {
-		// Sorted destination order: reselection has vicinity side effects,
-		// so map iteration order would make re-convergence nondeterministic.
-		stale := make([]graph.NodeID, 0)
-		//disco:orderinvariant pathAlive reads only link state; the stale set is sorted before reselection
-		for dst, r := range nd.best {
-			if !p.pathAlive(r.path) {
-				stale = append(stale, dst)
+	var stale []int32
+	for i := range p.nodes {
+		nd := &p.nodes[i]
+		stale = stale[:0]
+		for s := range nd.slots {
+			sl := &nd.slots[s]
+			if sl.best.path == nil || p.pathAlive(sl.best.path) {
+				continue
 			}
+			// Drop every candidate with a dead path; reselect below.
+			sl.cands = slices.DeleteFunc(sl.cands, func(c cand) bool { return !p.pathAlive(c.r.path) })
+			stale = append(stale, int32(s))
 		}
-		sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
-		for _, dst := range stale {
-			// Drop every candidate with a dead path, then reselect.
-			m := nd.cand[dst]
-			//disco:orderinvariant pathAlive is a pure predicate of the candidate; each delete removes its own key
-			for via, c := range m {
-				if !p.pathAlive(c.path) {
-					delete(m, via)
-				}
-			}
-			if len(m) == 0 {
-				delete(nd.cand, dst)
-			}
-			p.reselect(nd, dst)
-		}
+		p.reselectByDst(nd, stale)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"disco/internal/sim"
 	"disco/internal/static"
 	"disco/internal/topology"
-	"disco/internal/vicinity"
 )
 
 // withoutEdge clones g minus one edge (for reference computations).
@@ -134,23 +133,7 @@ func TestFailLinkVicinityWithRefresh(t *testing.T) {
 	rounds := p.RefreshUntilStable(10)
 	t.Logf("refresh reached a fixpoint in %d rounds", rounds)
 	// Converged vicinities must equal the static computation on g2.
-	want := vicinity.Build(g2, K, nil)
-	for a := 0; a < g.N(); a++ {
-		got := p.VicinityMembers(graph.NodeID(a))
-		ws := want.Of(graph.NodeID(a))
-		if len(got) != ws.Size() {
-			t.Fatalf("node %d vicinity size %d want %d after failure+refresh", a, len(got), ws.Size())
-		}
-		for _, m := range got {
-			e, ok := ws.Find(m)
-			if !ok {
-				t.Fatalf("node %d: member %d not in post-failure vicinity", a, m)
-			}
-			if m != graph.NodeID(a) && p.BestDist(graph.NodeID(a), m) != e.Dist {
-				t.Fatalf("node %d member %d dist mismatch", a, m)
-			}
-		}
-	}
+	checkVicinities(t, p, g2, K)
 }
 
 func TestFailLinkMessagesCounted(t *testing.T) {

@@ -15,11 +15,35 @@
 // Messages are counted per destination announcement or withdrawal sent to
 // one neighbor, coalesced per processing instant — the granularity behind
 // the paper's "mean messages per node until convergence" (Fig. 8).
+//
+// State layout. Each node keeps one dst→slot index, a map holding only
+// the destinations the node currently knows of; it is the one hashed
+// lookup per message, and it keeps per-node state proportional to what
+// is stored rather than to n. Everything else is addressed by slot:
+//   - a slot holds the best route, the dirty flag for the next flush, the
+//     node's vicinity-heap position and the candidates: one route per
+//     neighbor that offered one, kept in port order (ports number the
+//     sorted adjacency list, so this is neighbor-ID order). The best-route
+//     min-fold is a scan in list order that keeps the first of equal
+//     distances, so a tie goes to the lowest neighbor ID;
+//   - the vicinity is an indexed max-heap of slots keyed on (has a route,
+//     dist, id). Its top is the member the "K closest" rule evicts, read in
+//     O(1); a landmark member whose routes were all withdrawn sinks below
+//     every member with a route and so is never evicted;
+//   - slots emptied by a withdrawal are released at the flush that sends
+//     it and reused.
+//
+// Every order-sensitive step (flush, failure handling, pruning) walks
+// destinations in ID order, so runs are deterministic. Route paths are
+// immutable once built: flush sends them without copying and Clone shares
+// them, copying only the slot arrays.
 package pathvector
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"disco/internal/graph"
 	"disco/internal/sim"
@@ -55,15 +79,31 @@ type Config struct {
 
 type route struct {
 	dist float64
-	path []graph.NodeID // from the holding node to the destination
+	path []graph.NodeID // from the holding node to the destination; nil = no route
+}
+
+// cand is one neighbor's offered route to a slot's destination.
+type cand struct {
+	via graph.NodeID
+	r   route
+}
+
+// slot is a node's state for one destination it currently knows of.
+type slot struct {
+	dst   graph.NodeID
+	hpos  int32  // index in the node's vicinity heap; -1 = not a member
+	dirty bool   // queued for the next flush
+	best  route  // best.path == nil: no stored route
+	cands []cand // per-neighbor candidates, sorted by via
 }
 
 type node struct {
 	id            graph.NodeID
-	cand          map[graph.NodeID]map[graph.NodeID]route // dst -> via -> candidate
-	best          map[graph.NodeID]route
-	vic           map[graph.NodeID]bool // destinations occupying vicinity slots
-	dirty         map[graph.NodeID]bool
+	index         map[graph.NodeID]int32 // dst -> slot
+	slots         []slot
+	free          []int32 // released slots, reused before growing slots
+	heap          []int32 // vicinity members as slots, a max-heap on vicWorse
+	dirty         []int32 // slots with dirty set, in marking order
 	sendScheduled bool
 }
 
@@ -72,12 +112,21 @@ type Protocol struct {
 	g     *graph.Graph
 	eng   *sim.Engine
 	cfg   Config
-	nodes []*node
-	dead  map[uint64]bool // failed links (see dynamics.go)
+	nodes []node
+	dead  []bool // failed links by edge ID; nil = none failed (see dynamics.go)
 
 	// Messages counts announcements + withdrawals, per destination per
 	// neighbor (the Fig. 8 unit).
 	Messages int64
+
+	out []update // flush scratch
+}
+
+// update is one destination's state as flushed to the neighbors: an
+// announcement of path, or a withdrawal when path is nil.
+type update struct {
+	dst  graph.NodeID
+	path []graph.NodeID
 }
 
 // New creates a protocol instance bound to an engine. Call Start then
@@ -90,62 +139,51 @@ func New(g *graph.Graph, eng *sim.Engine, cfg Config) *Protocol {
 		panic("pathvector: ModeCluster requires LMDist")
 	}
 	p := &Protocol{g: g, eng: eng, cfg: cfg}
-	p.nodes = make([]*node, g.N())
+	p.nodes = make([]node, g.N())
 	for i := range p.nodes {
-		p.nodes[i] = &node{
-			id:    graph.NodeID(i),
-			cand:  make(map[graph.NodeID]map[graph.NodeID]route),
-			best:  make(map[graph.NodeID]route),
-			vic:   make(map[graph.NodeID]bool),
-			dirty: make(map[graph.NodeID]bool),
-		}
+		p.nodes[i] = node{id: graph.NodeID(i), index: make(map[graph.NodeID]int32)}
 	}
 	return p
 }
 
 // Clone returns a deep copy of a quiesced protocol instance bound to a
-// fresh engine: the routing tables (candidates, best routes, vicinity
-// membership) are copied so the clone can diverge, while the immutable
-// path slices inside routes are shared — announcements always build fresh
-// paths, so shared slices are never written through. Cloning a converged
-// instance replaces re-running initial convergence per churn trial with an
-// O(state) copy; Clone may be called concurrently from multiple workers
-// (it only reads p). Cloning an instance that still has scheduled sends
-// is an error — they would be lost in the engine swap — returned rather
-// than panicked, matching the snapshot layer's Build convention.
+// fresh engine: the routing tables (slots, candidates, vicinity heap) are
+// copied so the clone can diverge, while the immutable path slices inside
+// routes are shared — announcements always build fresh paths, so shared
+// slices are never written through. Cloning a converged instance replaces
+// re-running initial convergence per churn trial with an O(state) copy;
+// Clone may be called concurrently from multiple workers (it only reads
+// p). Cloning an instance that still has scheduled sends is an error —
+// they would be lost in the engine swap — returned rather than panicked,
+// matching the snapshot layer's Build convention.
 func (p *Protocol) Clone(eng *sim.Engine) (*Protocol, error) {
-	c := &Protocol{g: p.g, eng: eng, cfg: p.cfg}
-	c.nodes = make([]*node, len(p.nodes))
-	for i, nd := range p.nodes {
+	c := &Protocol{g: p.g, eng: eng, cfg: p.cfg, dead: slices.Clone(p.dead)}
+	c.nodes = make([]node, len(p.nodes))
+	for i := range p.nodes {
+		nd := &p.nodes[i]
 		if nd.sendScheduled || len(nd.dirty) > 0 {
 			return nil, fmt.Errorf("pathvector: Clone of a non-quiesced instance (node %d has pending sends)", nd.id)
 		}
-		cn := &node{
+		cn := &c.nodes[i]
+		*cn = node{
 			id:    nd.id,
-			cand:  make(map[graph.NodeID]map[graph.NodeID]route, len(nd.cand)),
-			best:  make(map[graph.NodeID]route, len(nd.best)),
-			vic:   make(map[graph.NodeID]bool, len(nd.vic)),
-			dirty: make(map[graph.NodeID]bool),
+			index: maps.Clone(nd.index),
+			slots: slices.Clone(nd.slots),
+			free:  slices.Clone(nd.free),
+			heap:  slices.Clone(nd.heap),
 		}
-		for dst, m := range nd.cand {
-			mm := make(map[graph.NodeID]route, len(m))
-			for via, r := range m {
-				mm[via] = r
-			}
-			cn.cand[dst] = mm
+		// Every candidate list moves into one backing array. Each slot's
+		// list is capped at its length, so an append reallocates instead
+		// of running into the next slot's candidates.
+		total := 0
+		for _, sl := range nd.slots {
+			total += len(sl.cands)
 		}
-		for dst, r := range nd.best {
-			cn.best[dst] = r
-		}
-		for v := range nd.vic {
-			cn.vic[v] = true
-		}
-		c.nodes[i] = cn
-	}
-	if p.dead != nil {
-		c.dead = make(map[uint64]bool, len(p.dead))
-		for k, v := range p.dead {
-			c.dead[k] = v
+		buf := make([]cand, total)
+		for s := range cn.slots {
+			k := copy(buf, cn.slots[s].cands)
+			cn.slots[s].cands = buf[:k:k]
+			buf = buf[k:]
 		}
 	}
 	return c, nil
@@ -154,10 +192,12 @@ func (p *Protocol) Clone(eng *sim.Engine) (*Protocol, error) {
 // Start seeds every node's route to itself and schedules the initial
 // announcements.
 func (p *Protocol) Start() {
-	for _, nd := range p.nodes {
-		nd.best[nd.id] = route{dist: 0, path: []graph.NodeID{nd.id}}
-		nd.vic[nd.id] = true
-		p.markDirty(nd, nd.id)
+	for i := range p.nodes {
+		nd := &p.nodes[i]
+		s := nd.alloc(nd.id)
+		nd.slots[s].best = route{dist: 0, path: []graph.NodeID{nd.id}}
+		nd.heapPush(s)
+		p.markDirty(nd, s)
 	}
 }
 
@@ -165,87 +205,213 @@ func (p *Protocol) isLandmark(v graph.NodeID) bool {
 	return p.cfg.IsLandmark != nil && p.cfg.IsLandmark[v]
 }
 
+// lookup returns nd's slot for dst, or -1 if it has none. It is the one
+// hashed read per message.
+func (nd *node) lookup(dst graph.NodeID) int32 {
+	if s, ok := nd.index[dst]; ok {
+		return s
+	}
+	return -1
+}
+
+// alloc gives dst, which has no slot yet, an empty one. It may grow
+// nd.slots: pointers into it do not survive the call.
+func (nd *node) alloc(dst graph.NodeID) int32 {
+	var s int32
+	if k := len(nd.free); k > 0 {
+		s = nd.free[k-1]
+		nd.free = nd.free[:k-1]
+		nd.slots[s] = slot{dst: dst, hpos: -1, cands: nd.slots[s].cands[:0]}
+	} else {
+		s = int32(len(nd.slots))
+		nd.slots = append(nd.slots, slot{dst: dst, hpos: -1})
+	}
+	nd.index[dst] = s
+	return s
+}
+
+// release frees slot s once it holds nothing: no route, no candidate, no
+// vicinity membership and no pending export. This keeps a node's slots
+// proportional to what it stores, not to every destination it ever saw.
+func (nd *node) release(s int32) {
+	sl := &nd.slots[s]
+	if sl.best.path != nil || len(sl.cands) > 0 || sl.hpos >= 0 || sl.dirty {
+		return
+	}
+	delete(nd.index, sl.dst)
+	nd.free = append(nd.free, s)
+}
+
 // accepts decides whether nd may store destination dst at offered distance
-// d, per the configured rule. It may evict a vicinity member to make room
-// (returning the same decision a converged run would).
-func (p *Protocol) accepts(nd *node, dst graph.NodeID, d float64) bool {
+// d, per the configured rule, and returns dst's slot, or -1 on rejection.
+// It may evict a vicinity member to make room (returning the same decision
+// a converged run would).
+func (p *Protocol) accepts(nd *node, dst graph.NodeID, d float64) int32 {
 	if dst == nd.id {
-		return false
+		return -1
 	}
-	if _, stored := nd.best[dst]; stored {
-		return true
-	}
-	if _, hasCand := nd.cand[dst]; hasCand {
-		return true
+	s := nd.lookup(dst)
+	if s >= 0 && (nd.slots[s].best.path != nil || len(nd.slots[s].cands) > 0) {
+		return s
 	}
 	switch p.cfg.Mode {
 	case ModeFull:
-		return true
 	case ModeLandmarksOnly:
-		return p.isLandmark(dst)
+		if !p.isLandmark(dst) {
+			return -1
+		}
 	case ModeCluster:
-		return p.isLandmark(dst) || d < p.cfg.LMDist[dst]
+		if !p.isLandmark(dst) && !(d < p.cfg.LMDist[dst]) {
+			return -1
+		}
 	case ModeVicinity:
 		// Landmarks are always stored; they additionally occupy a
 		// vicinity slot when among the K closest, exactly like the static
 		// definition (V(v) is the K closest nodes of any kind).
-		admitted := p.vicAdmit(nd, dst, d)
-		return admitted || p.isLandmark(dst)
-	}
-	panic("pathvector: unknown mode")
-}
-
-// vicAdmit applies the "K closest currently advertised" rule, evicting the
-// current worst member if the newcomer beats it.
-func (p *Protocol) vicAdmit(nd *node, dst graph.NodeID, d float64) bool {
-	if len(nd.vic) < p.cfg.K {
-		nd.vic[dst] = true
-		return true
-	}
-	worst, worstD := p.worstVic(nd)
-	if worst == graph.None {
-		return false
-	}
-	if d < worstD || (d == worstD && dst < worst) {
-		p.evictVic(nd, worst)
-		nd.vic[dst] = true
-		return true
-	}
-	return false
-}
-
-func (p *Protocol) worstVic(nd *node) (graph.NodeID, float64) {
-	worst := graph.None
-	worstD := -1.0
-	//disco:orderinvariant max-fold with a total-order tie-break on node ID
-	for v := range nd.vic {
-		d := nd.best[v].dist
-		if _, ok := nd.best[v]; !ok {
-			continue
+		if a := p.vicAdmit(nd, s, dst, d); a >= 0 {
+			return a
 		}
-		if worst == graph.None || d > worstD || (d == worstD && v > worst) {
-			worst, worstD = v, d
+		if !p.isLandmark(dst) {
+			return -1
 		}
+	default:
+		panic("pathvector: unknown mode")
 	}
-	return worst, worstD
+	if s < 0 {
+		s = nd.alloc(dst)
+	}
+	return s
 }
 
-// evictVic removes v from nd's vicinity; unless v is a landmark its routes
-// are dropped entirely and a withdrawal is scheduled.
-func (p *Protocol) evictVic(nd *node, v graph.NodeID) {
-	delete(nd.vic, v)
-	if p.isLandmark(v) {
+// vicAdmit applies the "K closest currently advertised" rule to dst at
+// distance d, whose slot is s (-1 if it has none), evicting the current
+// worst member if the newcomer beats it. It returns dst's slot, allocated
+// if needed, or -1 if dst is not admitted.
+func (p *Protocol) vicAdmit(nd *node, s int32, dst graph.NodeID, d float64) int32 {
+	if len(nd.heap) >= p.cfg.K {
+		w := nd.worstVic()
+		if w < 0 {
+			return -1
+		}
+		if ws := &nd.slots[w]; !(d < ws.best.dist || (d == ws.best.dist && dst < ws.dst)) {
+			return -1
+		}
+		p.evictVic(nd, w)
+	}
+	if s < 0 {
+		s = nd.alloc(dst)
+	}
+	if nd.slots[s].hpos < 0 {
+		nd.heapPush(s)
+	}
+	return s
+}
+
+// worstVic returns the vicinity member with the largest (dist, id) among
+// those holding a route, or -1 if none does: the top of the vicinity heap.
+func (nd *node) worstVic() int32 {
+	if len(nd.heap) == 0 || nd.slots[nd.heap[0]].best.path == nil {
+		return -1
+	}
+	return nd.heap[0]
+}
+
+// vicWorse orders the vicinity heap: members holding a route above those
+// without one (a landmark whose routes were all withdrawn stays a member
+// but is never the one evicted), then by (dist, id), larger first.
+func (nd *node) vicWorse(a, b int32) bool {
+	x, y := &nd.slots[a], &nd.slots[b]
+	hx, hy := x.best.path != nil, y.best.path != nil
+	switch {
+	case hx != hy:
+		return hx
+	case hx && x.best.dist != y.best.dist:
+		return x.best.dist > y.best.dist
+	}
+	return x.dst > y.dst
+}
+
+func (nd *node) heapSwap(i, j int) {
+	h := nd.heap
+	h[i], h[j] = h[j], h[i]
+	nd.slots[h[i]].hpos = int32(i)
+	nd.slots[h[j]].hpos = int32(j)
+}
+
+func (nd *node) heapUp(i int) bool {
+	moved := false
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !nd.vicWorse(nd.heap[i], nd.heap[parent]) {
+			break
+		}
+		nd.heapSwap(i, parent)
+		i, moved = parent, true
+	}
+	return moved
+}
+
+func (nd *node) heapDown(i int) {
+	n := len(nd.heap)
+	for {
+		top, l, r := i, 2*i+1, 2*i+2
+		if l < n && nd.vicWorse(nd.heap[l], nd.heap[top]) {
+			top = l
+		}
+		if r < n && nd.vicWorse(nd.heap[r], nd.heap[top]) {
+			top = r
+		}
+		if top == i {
+			return
+		}
+		nd.heapSwap(i, top)
+		i = top
+	}
+}
+
+func (nd *node) heapPush(s int32) {
+	nd.slots[s].hpos = int32(len(nd.heap))
+	nd.heap = append(nd.heap, s)
+	nd.heapUp(len(nd.heap) - 1)
+}
+
+func (nd *node) heapRemove(s int32) {
+	i, last := int(nd.slots[s].hpos), len(nd.heap)-1
+	nd.heapSwap(i, last)
+	nd.heap = nd.heap[:last]
+	nd.slots[s].hpos = -1
+	if i < last {
+		nd.heapFix(nd.heap[i])
+	}
+}
+
+// heapFix restores the heap after slot s's key (its best route) changed.
+func (nd *node) heapFix(s int32) {
+	if i := int(nd.slots[s].hpos); !nd.heapUp(i) {
+		nd.heapDown(i)
+	}
+}
+
+// evictVic removes slot s from nd's vicinity; unless its destination is a
+// landmark its routes are dropped entirely and a withdrawal is scheduled.
+func (p *Protocol) evictVic(nd *node, s int32) {
+	nd.heapRemove(s)
+	sl := &nd.slots[s]
+	if p.isLandmark(sl.dst) {
 		return // still stored as a landmark route
 	}
-	delete(nd.cand, v)
-	delete(nd.best, v)
-	p.markDirty(nd, v)
+	sl.cands = sl.cands[:0]
+	sl.best = route{}
+	p.markDirty(nd, s)
 }
 
-// markDirty schedules (once per instant) the export of dst's state to all
-// neighbors.
-func (p *Protocol) markDirty(nd *node, dst graph.NodeID) {
-	nd.dirty[dst] = true
+// markDirty schedules (once per instant) the export of slot s's state to
+// all neighbors.
+func (p *Protocol) markDirty(nd *node, s int32) {
+	if sl := &nd.slots[s]; !sl.dirty {
+		sl.dirty = true
+		nd.dirty = append(nd.dirty, s)
+	}
 	if nd.sendScheduled {
 		return
 	}
@@ -254,38 +420,42 @@ func (p *Protocol) markDirty(nd *node, dst graph.NodeID) {
 }
 
 // flush sends one coalesced update per dirty destination to every neighbor.
+// Paths go out as they are stored: they are immutable, since receive
+// builds a fresh path for every route it keeps.
 func (p *Protocol) flush(nd *node) {
 	nd.sendScheduled = false
 	if len(nd.dirty) == 0 {
 		return
 	}
-	dsts := make([]graph.NodeID, 0, len(nd.dirty))
-	for d := range nd.dirty {
-		dsts = append(dsts, d)
+	out := p.out[:0]
+	for _, s := range nd.dirty {
+		sl := &nd.slots[s]
+		out = append(out, update{dst: sl.dst, path: sl.best.path})
+		sl.dirty = false
+		nd.release(s)
 	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	nd.dirty = make(map[graph.NodeID]bool)
+	nd.dirty = nd.dirty[:0]
+	slices.SortFunc(out, func(a, b update) int { return cmp.Compare(a.dst, b.dst) })
 	for _, e := range p.g.Neighbors(nd.id) {
-		if !p.LinkAlive(nd.id, e.To) {
+		if p.dead != nil && p.dead[e.EID] {
 			continue
 		}
-		to := p.nodes[e.To]
+		to := &p.nodes[e.To]
 		lat := e.Weight
 		if lat <= 0 {
 			lat = 1e-6 // zero-latency links still impose an ordering step
 		}
-		for _, dst := range dsts {
+		for _, u := range out {
 			p.Messages++
-			if r, ok := nd.best[dst]; ok {
-				pathCopy := append([]graph.NodeID(nil), r.path...)
-				dst := dst
-				p.eng.Schedule(lat, func() { p.receive(to, nd.id, dst, pathCopy) })
+			if u.path != nil {
+				p.eng.Schedule(lat, func() { p.receive(to, nd.id, u.dst, u.path) })
 			} else {
-				dst := dst
-				p.eng.Schedule(lat, func() { p.withdraw(to, nd.id, dst) })
+				p.eng.Schedule(lat, func() { p.withdraw(to, nd.id, u.dst) })
 			}
 		}
 	}
+	clear(out)
+	p.out = out
 }
 
 // receive processes an announcement at node nd from neighbor via.
@@ -300,111 +470,129 @@ func (p *Protocol) receive(nd *node, via, dst graph.NodeID, path []graph.NodeID)
 			return
 		}
 	}
-	full := append([]graph.NodeID{nd.id}, path...)
+	full := make([]graph.NodeID, len(path)+1)
+	full[0] = nd.id
+	copy(full[1:], path)
 	// Distances are recomputed from the full path, summed source-outward,
 	// so converged values are bit-identical to the static simulator's
 	// Dijkstra (same association order on the same path).
 	offered := p.g.PathLength(full)
-	if !p.accepts(nd, dst, offered) {
+	s := p.accepts(nd, dst, offered)
+	if s < 0 {
 		return
 	}
-	m := nd.cand[dst]
-	if m == nil {
-		m = make(map[graph.NodeID]route)
-		nd.cand[dst] = m
+	sl := &nd.slots[s]
+	c := cand{via: via, r: route{dist: offered, path: full}}
+	if i, found := findCand(sl.cands, via); found {
+		sl.cands[i] = c
+	} else {
+		sl.cands = slices.Insert(sl.cands, i, c)
 	}
-	m[via] = route{dist: offered, path: full}
 	if p.cfg.Forgetful {
-		p.forget(nd, dst)
+		// Forgetful routing [24]: keep only the best candidate per
+		// destination, discarding alternates (trades convergence speed
+		// for control-plane state, §4.2).
+		sl.cands[0] = sl.cands[bestCand(sl.cands)]
+		sl.cands = sl.cands[:1]
 	}
-	p.reselect(nd, dst)
+	p.reselect(nd, s)
 }
 
 // withdraw processes a withdrawal of dst received from via.
 func (p *Protocol) withdraw(nd *node, via, dst graph.NodeID) {
-	m, ok := nd.cand[dst]
-	if !ok {
+	s := nd.lookup(dst)
+	if s < 0 || !nd.dropCand(s, via) {
 		return
 	}
-	if _, had := m[via]; !had {
-		return
-	}
-	delete(m, via)
-	if len(m) == 0 {
-		delete(nd.cand, dst)
-	}
-	p.reselect(nd, dst)
+	p.reselect(nd, s)
 }
 
-// forget implements forgetful routing [24]: keep only the best candidate
-// per destination, discarding alternates (trades convergence speed for
-// control-plane state, §4.2).
-func (p *Protocol) forget(nd *node, dst graph.NodeID) {
-	m := nd.cand[dst]
-	if len(m) <= 1 {
-		return
+// dropCand removes via's candidate from slot s and reports whether it had
+// one.
+func (nd *node) dropCand(s int32, via graph.NodeID) bool {
+	sl := &nd.slots[s]
+	i, found := findCand(sl.cands, via)
+	if found {
+		sl.cands = slices.Delete(sl.cands, i, i+1)
 	}
-	bestVia, bestR, first := graph.None, route{}, true
-	//disco:orderinvariant min-fold with a total-order tie-break on via
-	for via, r := range m {
-		if first || r.dist < bestR.dist || (r.dist == bestR.dist && via < bestVia) {
-			bestVia, bestR, first = via, r, false
-		}
-	}
-	nd.cand[dst] = map[graph.NodeID]route{bestVia: bestR}
+	return found
 }
 
-// reselect recomputes nd's best route to dst and triggers announcements on
-// change.
-func (p *Protocol) reselect(nd *node, dst graph.NodeID) {
-	m := nd.cand[dst]
-	bestVia, bestR, found := graph.None, route{}, false
-	//disco:orderinvariant min-fold with a total-order tie-break on via
-	for via, r := range m {
-		if !found || r.dist < bestR.dist || (r.dist == bestR.dist && via < bestVia) {
-			bestVia, bestR, found = via, r, true
+// findCand returns the position of via's candidate in cs, or where it
+// would be inserted, and whether it is there. The lists are at most one
+// entry per neighbor, so a linear scan beats a binary search.
+func findCand(cs []cand, via graph.NodeID) (int, bool) {
+	for i, c := range cs {
+		if c.via >= via {
+			return i, c.via == via
 		}
 	}
-	old, had := nd.best[dst]
-	if !found {
+	return len(cs), false
+}
+
+// bestCand returns the index of the shortest candidate; candidates are
+// sorted by via, so the first of equal distances has the lowest via.
+// cs must be non-empty.
+func bestCand(cs []cand) int {
+	b := 0
+	for i := 1; i < len(cs); i++ {
+		if cs[i].r.dist < cs[b].r.dist {
+			b = i
+		}
+	}
+	return b
+}
+
+// reselect recomputes nd's best route for slot s and triggers
+// announcements on change.
+func (p *Protocol) reselect(nd *node, s int32) {
+	sl := &nd.slots[s]
+	old := sl.best
+	had := old.path != nil
+	if len(sl.cands) == 0 {
 		if had {
-			delete(nd.best, dst)
-			if nd.vic[dst] && !p.isLandmark(dst) {
-				delete(nd.vic, dst)
+			sl.best = route{}
+			if sl.hpos >= 0 {
+				if p.isLandmark(sl.dst) {
+					nd.heapFix(s)
+				} else {
+					nd.heapRemove(s)
+				}
 			}
-			p.markDirty(nd, dst)
+			p.markDirty(nd, s)
 		}
 		return
 	}
+	bestR := sl.cands[bestCand(sl.cands)].r
 	// A stored destination outside the vicinity (a far landmark) may
 	// qualify for a slot — on route improvement, or when vicinity members
 	// worsened after a failure and a refresh re-offered this one. This
 	// must run even when the best route itself is unchanged.
-	if p.cfg.Mode == ModeVicinity && !nd.vic[dst] {
-		p.vicAdmit(nd, dst, bestR.dist)
+	if p.cfg.Mode == ModeVicinity && sl.hpos < 0 {
+		p.vicAdmit(nd, s, sl.dst, bestR.dist)
 	}
-	if had && old.dist == bestR.dist && equalPath(old.path, bestR.path) {
+	if had && old.dist == bestR.dist && slices.Equal(old.path, bestR.path) {
 		return
 	}
-	nd.best[dst] = bestR
-	p.markDirty(nd, dst)
+	sl.best = bestR
+	if sl.hpos >= 0 {
+		nd.heapFix(s)
+	}
+	p.markDirty(nd, s)
 }
 
-func equalPath(a, b []graph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
+// bestOf returns v's stored route to dst; its path is nil if none.
+func (p *Protocol) bestOf(v, dst graph.NodeID) route {
+	nd := &p.nodes[v]
+	if s := nd.lookup(dst); s >= 0 {
+		return nd.slots[s].best
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return route{}
 }
 
 // BestDist returns v's converged distance to dst (+Inf if unknown).
 func (p *Protocol) BestDist(v, dst graph.NodeID) float64 {
-	if r, ok := p.nodes[v].best[dst]; ok {
+	if r := p.bestOf(v, dst); r.path != nil {
 		return r.dist
 	}
 	return graph.Inf
@@ -412,50 +600,54 @@ func (p *Protocol) BestDist(v, dst graph.NodeID) float64 {
 
 // BestPath returns v's converged path to dst or nil.
 func (p *Protocol) BestPath(v, dst graph.NodeID) []graph.NodeID {
-	if r, ok := p.nodes[v].best[dst]; ok {
-		return append([]graph.NodeID(nil), r.path...)
-	}
-	return nil
+	return slices.Clone(p.bestOf(v, dst).path)
 }
 
 // VicinitySet assembles v's converged vicinity as a vicinity.Set for
 // comparison against the static simulator.
 func (p *Protocol) VicinitySet(v graph.NodeID) *vicinity.Set {
-	nd := p.nodes[v]
-	entries := make([]vicinity.Entry, 0, len(nd.vic))
-	//disco:orderinvariant FromEntries sorts the entries by node before building the set
-	for dst := range nd.vic {
-		r := nd.best[dst]
+	nd := &p.nodes[v]
+	entries := make([]vicinity.Entry, 0, len(nd.heap))
+	for _, s := range nd.heap {
+		sl := &nd.slots[s]
 		parent := graph.None
-		if len(r.path) >= 2 {
+		if path := sl.best.path; len(path) >= 2 {
 			// Parent of dst on the path from v: the node before dst.
-			parent = r.path[len(r.path)-2]
+			parent = path[len(path)-2]
 		}
-		entries = append(entries, vicinity.Entry{Node: dst, Parent: parent, Dist: r.dist})
+		entries = append(entries, vicinity.Entry{Node: sl.dst, Parent: parent, Dist: sl.best.dist})
 	}
 	return vicinity.FromEntries(v, entries)
 }
 
 // VicinityMembers returns the converged vicinity membership of v, sorted.
 func (p *Protocol) VicinityMembers(v graph.NodeID) []graph.NodeID {
-	nd := p.nodes[v]
-	out := make([]graph.NodeID, 0, len(nd.vic))
-	for dst := range nd.vic {
-		out = append(out, dst)
+	nd := &p.nodes[v]
+	out := make([]graph.NodeID, len(nd.heap))
+	for i, s := range nd.heap {
+		out[i] = nd.slots[s].dst
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
 // DataEntries returns v's data-plane entry count (stored destinations).
-func (p *Protocol) DataEntries(v graph.NodeID) int { return len(p.nodes[v].best) }
+func (p *Protocol) DataEntries(v graph.NodeID) int {
+	t := 0
+	for _, sl := range p.nodes[v].slots {
+		if sl.best.path != nil {
+			t++
+		}
+	}
+	return t
+}
 
 // ControlEntries returns v's control-plane entry count: all per-neighbor
 // candidates (Θ(δ·sqrt(n log n)) without forgetful routing, §4.2).
 func (p *Protocol) ControlEntries(v graph.NodeID) int {
 	t := 0
-	for _, m := range p.nodes[v].cand {
-		t += len(m)
+	for _, sl := range p.nodes[v].slots {
+		t += len(sl.cands)
 	}
 	return t
 }
@@ -467,10 +659,9 @@ func (p *Protocol) LMDistances() []float64 {
 	out := make([]float64, len(p.nodes))
 	for v := range p.nodes {
 		best := graph.Inf
-		//disco:orderinvariant min-fold over distances; float min is commutative
-		for dst, r := range p.nodes[v].best {
-			if p.isLandmark(dst) && r.dist < best {
-				best = r.dist
+		for _, sl := range p.nodes[v].slots {
+			if sl.best.path != nil && p.isLandmark(sl.dst) && sl.best.dist < best {
+				best = sl.best.dist
 			}
 		}
 		if p.isLandmark(graph.NodeID(v)) {

@@ -1,6 +1,8 @@
 package pathvector
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -237,4 +239,213 @@ func TestLineTopologyVicinity(t *testing.T) {
 			}
 		}
 	}
+}
+
+// scanWorstVic is the O(k) scan the vicinity heap replaced, kept as its
+// oracle: among the vicinity members holding a route, the one with the
+// largest (dist, id), or -1 if none holds a route.
+func scanWorstVic(nd *node) int32 {
+	worst, worstD, worstID := int32(-1), -1.0, graph.None
+	for s, sl := range nd.slots {
+		if sl.hpos < 0 || sl.best.path == nil {
+			continue
+		}
+		if d := sl.best.dist; worst < 0 || d > worstD || (d == worstD && sl.dst > worstID) {
+			worst, worstD, worstID = int32(s), d, sl.dst
+		}
+	}
+	return worst
+}
+
+// topErr checks that every node's heap top is the member the scan picks.
+func topErr(p *Protocol) error {
+	for v := range p.nodes {
+		nd := &p.nodes[v]
+		if got, want := nd.worstVic(), scanWorstVic(nd); got != want {
+			return fmt.Errorf("node %d: heap top %d, scan finds %d", v, got, want)
+		}
+	}
+	return nil
+}
+
+// layoutErr checks every node's slot bookkeeping: the index and the free
+// list cover the slots exactly, each indexed slot holds its destination,
+// heap positions are consistent and the heap is ordered.
+func layoutErr(p *Protocol) error {
+	for v := range p.nodes {
+		nd := &p.nodes[v]
+		if len(nd.index)+len(nd.free) != len(nd.slots) {
+			return fmt.Errorf("node %d: %d indexed + %d free slots, want %d", v, len(nd.index), len(nd.free), len(nd.slots))
+		}
+		for dst, s := range nd.index {
+			if got := nd.slots[s].dst; got != dst {
+				return fmt.Errorf("node %d: index maps %d to slot %d, which holds %d", v, dst, s, got)
+			}
+		}
+		members := 0
+		for s := range nd.slots {
+			if nd.slots[s].hpos >= 0 {
+				members++
+			}
+		}
+		if members != len(nd.heap) {
+			return fmt.Errorf("node %d: %d slots claim a heap position, heap holds %d", v, members, len(nd.heap))
+		}
+		for i, s := range nd.heap {
+			if got := nd.slots[s].hpos; got != int32(i) {
+				return fmt.Errorf("node %d: slot %d at heap index %d records %d", v, s, i, got)
+			}
+			if i > 0 && nd.vicWorse(s, nd.heap[(i-1)/2]) {
+				return fmt.Errorf("node %d: heap order violated at index %d", v, i)
+			}
+		}
+	}
+	return nil
+}
+
+// runChecked runs eng to quiescence one event at a time, checking every
+// node's heap top after each event and the whole layout at the end.
+func runChecked(t *testing.T, eng *sim.Engine, p *Protocol) {
+	t.Helper()
+	for eng.Pending() > 0 {
+		eng.Run(1)
+		if err := topErr(p); err != nil {
+			t.Fatalf("after step %d: %v", eng.Steps(), err)
+		}
+	}
+	if err := layoutErr(p); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkVicinities asserts that every node's vicinity has the members and
+// distances of the static computation on g.
+func checkVicinities(t *testing.T, p *Protocol, g *graph.Graph, k int) {
+	t.Helper()
+	want := vicinity.Build(g, k, nil)
+	for a := 0; a < g.N(); a++ {
+		got := p.VicinityMembers(graph.NodeID(a))
+		ws := want.Of(graph.NodeID(a))
+		if len(got) != ws.Size() {
+			t.Fatalf("node %d vicinity size %d want %d", a, len(got), ws.Size())
+		}
+		for _, m := range got {
+			e, ok := ws.Find(m)
+			if !ok {
+				t.Fatalf("node %d: member %d not in the static vicinity", a, m)
+			}
+			if m != graph.NodeID(a) && p.BestDist(graph.NodeID(a), m) != e.Dist {
+				t.Fatalf("node %d member %d dist %v want %v", a, m, p.BestDist(graph.NodeID(a), m), e.Dist)
+			}
+		}
+	}
+}
+
+// TestVicinityHeapMatchesScan drives convergence and a sequence of three
+// non-bridge failures event by event, checking after every event that each
+// node's heap top is the member the O(k) scan picks, and after every
+// refresh that the vicinities equal the static ones on the failed graph.
+func TestVicinityHeapMatchesScan(t *testing.T) {
+	seeds := []int64{1, 2, 3}
+	if testing.Short() {
+		seeds = seeds[:1]
+	}
+	for _, forgetful := range []bool{false, true} {
+		for _, seed := range seeds {
+			rng := rand.New(rand.NewSource(seed))
+			g := topology.Gnm(rng, 40, 120)
+			if !g.Connected() {
+				t.Fatalf("seed %d: topology not connected", seed)
+			}
+			env := static.NewEnv(g, seed)
+			k := vicinity.DefaultK(g.N())
+			var eng sim.Engine
+			p := New(g, &eng, Config{Mode: ModeVicinity, K: k, IsLandmark: env.IsLM, Forgetful: forgetful})
+			p.Start()
+			runChecked(t, &eng, p)
+			checkVicinities(t, p, g, k)
+
+			cur := g
+			for failed := 0; failed < 3; {
+				u := graph.NodeID(rng.Intn(g.N()))
+				es := g.Neighbors(u)
+				v := es[rng.Intn(len(es))].To
+				next := withoutEdge(cur, u, v)
+				if !p.LinkAlive(u, v) || !next.Connected() {
+					continue
+				}
+				cur = next
+				failed++
+				if err := p.FailLink(u, v); err != nil {
+					t.Fatal(err)
+				}
+				p.PruneStale()
+				runChecked(t, &eng, p)
+				// RefreshUntilStable's rounds, stepped so every event is
+				// checked; the call after it confirms the fixpoint.
+				for prev, r := p.tableFingerprint(), 1; ; r++ {
+					if r > 16 {
+						t.Fatalf("seed %d: no refresh fixpoint", seed)
+					}
+					p.Refresh()
+					runChecked(t, &eng, p)
+					fp := p.tableFingerprint()
+					if fp == prev {
+						break
+					}
+					prev = fp
+				}
+				p.RefreshUntilStable(16)
+				if err := errors.Join(topErr(p), layoutErr(p)); err != nil {
+					t.Fatal(err)
+				}
+				checkVicinities(t, p, cur, k)
+			}
+		}
+	}
+}
+
+// BenchmarkConvergeAndRefresh measures the control plane's two costs on
+// G(n,m) n=256 with average degree 8: convergence from cold, then one
+// failure trial on a clone (FailLink, PruneStale and re-convergence, then
+// refresh rounds to a fixpoint). It reports simulator steps per op.
+func BenchmarkConvergeAndRefresh(b *testing.B) {
+	const n = 256
+	g := topology.GnmAvgDeg(rand.New(rand.NewSource(1)), n, 8)
+	env := static.NewEnv(g, 1)
+	cfg := Config{Mode: ModeVicinity, K: vicinity.DefaultK(n), IsLandmark: env.IsLM}
+	bridges := g.Bridges()
+	var link graph.EdgeKey
+	for id, e := range g.EdgeList() {
+		if !bridges[id] {
+			link = e
+			break
+		}
+	}
+	b.ReportAllocs()
+	var steps, ops uint64
+	for b.Loop() {
+		ops++
+		var eng sim.Engine
+		p := New(g, &eng, cfg)
+		p.Start()
+		if _, q := eng.Run(0); !q {
+			b.Fatal("convergence did not quiesce")
+		}
+		var trial sim.Engine
+		c, err := p.Clone(&trial)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := c.FailLink(link.U, link.V); err != nil {
+			b.Fatal(err)
+		}
+		c.PruneStale()
+		if _, q := trial.Run(0); !q {
+			b.Fatal("re-convergence did not quiesce")
+		}
+		c.RefreshUntilStable(16)
+		steps += eng.Steps() + trial.Steps()
+	}
+	b.ReportMetric(float64(steps)/float64(ops), "steps/op")
 }
