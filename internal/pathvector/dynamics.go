@@ -46,9 +46,11 @@ func (p *Protocol) FailLink(u, v graph.NodeID) error {
 	return nil
 }
 
-// LinkAlive reports whether the link between u and v is usable.
+// LinkAlive reports whether the link between u and v is usable. Only a
+// failed link reads as dead: a pair that is not a link, out-of-range IDs
+// included, reads as alive.
 func (p *Protocol) LinkAlive(u, v graph.NodeID) bool {
-	if p.dead == nil {
+	if p.dead == nil || int(u) < 0 || int(u) >= p.g.N() {
 		return true
 	}
 	id := p.g.EdgeID(u, v)

@@ -166,6 +166,9 @@ func TestLinkAliveAndFailLinkErrors(t *testing.T) {
 	if p.LinkAlive(0, 1) || p.LinkAlive(1, 0) {
 		t.Fatal("failed link should be dead both ways")
 	}
+	if !p.LinkAlive(0, 3) || !p.LinkAlive(-1, 0) || !p.LinkAlive(0, 9) {
+		t.Fatal("a pair that is not a link must not read as failed")
+	}
 	if err := p.FailLink(0, 3); err == nil {
 		t.Fatal("expected error failing a non-edge")
 	}
