@@ -241,9 +241,9 @@ func TestLineTopologyVicinity(t *testing.T) {
 	}
 }
 
-// scanWorstVic is the O(k) scan the vicinity heap replaced, kept as its
-// oracle: among the vicinity members holding a route, the one with the
-// largest (dist, id), or -1 if none holds a route.
+// scanWorstVic is the vicinity heap's oracle, an O(k) scan: among the
+// vicinity members holding a route, the one with the largest (dist, id),
+// or -1 if none holds a route.
 func scanWorstVic(nd *node) int32 {
 	worst, worstD, worstID := int32(-1), -1.0, graph.None
 	for s, sl := range nd.slots {
