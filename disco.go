@@ -27,6 +27,7 @@ package disco
 
 import (
 	"fmt"
+	"math"
 
 	"disco/internal/core"
 	"disco/internal/estimate"
@@ -72,42 +73,74 @@ type Config struct {
 	Shortcut Shortcut
 }
 
-// Builder assembles a network topology with flat node names.
+// Builder assembles a network topology with flat node names. Invalid
+// calls do not panic: the Builder records the first one, and Build returns
+// it as an error.
 type Builder struct {
-	n        int
-	names    []names.Name
-	g        *graph.Graph
-	haveName []bool
+	n     int
+	names []names.Name
+	g     *graph.Graph
+	err   error
 }
 
 // NewBuilder starts a topology with n nodes (IDs 0..n-1) and default
-// names "node<i>".
+// names "node<i>". A negative n makes Build fail.
 func NewBuilder(n int) *Builder {
-	b := &Builder{n: n, g: graph.New(n), names: make([]names.Name, n), haveName: make([]bool, n)}
+	if n < 0 {
+		b := NewBuilder(0)
+		b.fail("disco: negative node count %d", n)
+		return b
+	}
+	b := &Builder{n: n, g: graph.New(n), names: make([]names.Name, n)}
 	for i := range b.names {
 		b.names[i] = names.Name(fmt.Sprintf("node%d", i))
 	}
 	return b
 }
 
+// fail records the Builder's first error.
+func (b *Builder) fail(format string, args ...any) {
+	if b.err == nil {
+		b.err = fmt.Errorf(format, args...)
+	}
+}
+
+func (b *Builder) inRange(v int) bool { return v >= 0 && v < b.n }
+
 // SetName assigns a flat, location-independent name to node v. Names are
 // arbitrary strings (DNS names, MAC addresses, self-certifying hashes —
 // the protocol never interprets them).
 func (b *Builder) SetName(v int, name string) *Builder {
+	if !b.inRange(v) {
+		b.fail("disco: SetName: node %d out of range [0,%d)", v, b.n)
+		return b
+	}
 	b.names[v] = names.Name(name)
-	b.haveName[v] = true
 	return b
 }
 
 // AddLink adds an undirected link between u and v with the given latency
-// (or cost; must be positive).
+// (or cost): finite and non-negative. Self-loops are invalid.
 func (b *Builder) AddLink(u, v int, latency float64) *Builder {
-	b.g.AddEdge(graph.NodeID(u), graph.NodeID(v), latency)
+	switch {
+	case !b.inRange(u) || !b.inRange(v):
+		b.fail("disco: AddLink: link %d-%d out of range [0,%d)", u, v, b.n)
+	case u == v:
+		b.fail("disco: AddLink: self-loop at node %d", u)
+	case latency < 0 || math.IsNaN(latency) || math.IsInf(latency, 0):
+		b.fail("disco: AddLink: latency %v on link %d-%d is not finite and non-negative", latency, u, v)
+	default:
+		b.g.AddEdge(graph.NodeID(u), graph.NodeID(v), latency)
+	}
 	return b
 }
 
 // Build validates the topology and constructs the converged Disco network.
+// It returns the first invalid Builder call, if any, as its error.
 func (b *Builder) Build(cfg Config) (*Network, error) {
+	if b.err != nil {
+		return nil, b.err
+	}
 	if b.n == 0 {
 		return nil, fmt.Errorf("disco: empty network")
 	}

@@ -3,6 +3,7 @@ package disco
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -94,6 +95,46 @@ func TestDisconnectedRejected(t *testing.T) {
 	b.AddLink(0, 1, 1).AddLink(2, 3, 1)
 	if _, err := b.Build(Config{}); err == nil {
 		t.Fatal("expected connectivity error")
+	}
+}
+
+// TestBuilderErrors: every invalid Builder call surfaces as Build's error
+// instead of a panic, one case per kind of mistake.
+func TestBuilderErrors(t *testing.T) {
+	path := func(n int) *Builder {
+		b := NewBuilder(n)
+		for i := 1; i < n; i++ {
+			b.AddLink(i-1, i, 1)
+		}
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		b    func() *Builder
+	}{
+		{"negative latency", func() *Builder { return path(3).AddLink(0, 2, -1) }},
+		{"NaN latency", func() *Builder { return path(3).AddLink(0, 2, math.NaN()) }},
+		{"infinite latency", func() *Builder { return path(3).AddLink(0, 2, math.Inf(1)) }},
+		{"self-loop", func() *Builder { return path(3).AddLink(1, 1, 1) }},
+		{"AddLink out of range", func() *Builder { return path(3).AddLink(0, 3, 1) }},
+		{"AddLink negative node", func() *Builder { return path(3).AddLink(-1, 0, 1) }},
+		{"SetName out of range", func() *Builder { return path(3).SetName(3, "x") }},
+		{"negative node count", func() *Builder { return NewBuilder(-1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw, err := tc.b().Build(Config{})
+			if err == nil || nw != nil {
+				t.Fatalf("Build = %v, %v; want an error", nw, err)
+			}
+		})
+	}
+}
+
+// TestBuilderKeepsFirstError: later mistakes do not overwrite the first.
+func TestBuilderKeepsFirstError(t *testing.T) {
+	_, err := NewBuilder(3).AddLink(0, 0, 1).SetName(9, "x").Build(Config{})
+	if err == nil || !strings.Contains(err.Error(), "self-loop") {
+		t.Fatalf("err = %v, want the self-loop error", err)
 	}
 }
 

@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -52,8 +53,11 @@ func (g *Graph) N() int { return len(g.adj) }
 func (g *Graph) M() int { return g.m }
 
 // AddEdge adds an undirected edge between u and v with weight w and returns
-// its edge index. It panics on self-loops, out-of-range endpoints, or
-// negative weights. Duplicate edges are the caller's responsibility (the
+// its edge index. It panics on self-loops, out-of-range endpoints, and
+// weights that are negative, NaN or infinite: the shortest-path queue
+// orders distances by their float bits, which order like the values only
+// for non-negative non-NaN floats, and an infinite distance would read as
+// unreachable. Duplicate edges are the caller's responsibility (the
 // topology generators deduplicate); adding one creates a parallel edge.
 func (g *Graph) AddEdge(u, v NodeID, w float64) int32 {
 	if u == v {
@@ -62,8 +66,8 @@ func (g *Graph) AddEdge(u, v NodeID, w float64) int32 {
 	if int(u) < 0 || int(u) >= len(g.adj) || int(v) < 0 || int(v) >= len(g.adj) {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range n=%d", u, v, len(g.adj)))
 	}
-	if w < 0 {
-		panic(fmt.Sprintf("graph: negative weight %v on edge (%d,%d)", w, u, v))
+	if w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+		panic(fmt.Sprintf("graph: weight %v on edge (%d,%d) is not finite and non-negative", w, u, v))
 	}
 	id := int32(g.m)
 	g.adj[u] = append(g.adj[u], Edge{To: v, EID: id, Weight: w})

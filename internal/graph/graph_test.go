@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -49,6 +50,22 @@ func TestNegativeWeightPanics(t *testing.T) {
 	}()
 	g := New(2)
 	g.AddEdge(0, 1, -0.5)
+}
+
+// TestNonFiniteWeightPanics: NaN and infinite weights break the distance
+// order the shortest-path queue relies on, so AddEdge rejects them as it
+// rejects negative ones.
+func TestNonFiniteWeightPanics(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic on weight %v", w)
+				}
+			}()
+			New(2).AddEdge(0, 1, w)
+		}()
+	}
 }
 
 func TestPortsRoundTrip(t *testing.T) {

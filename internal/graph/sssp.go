@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/bits"
 
 	"disco/internal/parallel"
 )
@@ -9,65 +10,224 @@ import (
 // Inf is the distance reported for unreached nodes.
 var Inf = math.Inf(1)
 
-// heapItem is a lazy-deletion priority queue entry: stale entries (node
-// already settled) are skipped on pop. Ties are broken by node ID so every
-// run is deterministic regardless of insertion order.
-type heapItem struct {
-	dist float64
+// qItem is a lazy-deletion queue entry: stale entries (node already
+// settled, or pushed again at a shorter distance) are skipped on pop. key
+// is math.Float64bits of the tentative distance. Distances are never
+// negative, NaN or -0 (AddEdge rejects negative, NaN and infinite weights,
+// and every source starts at +0), and for such floats the IEEE bit
+// patterns order exactly like the values.
+type qItem struct {
+	key  uint64
 	node NodeID
 }
 
-type minHeap []heapItem
+const (
+	chunkLen = 64 // items per pool chunk
+	noChunk  = -1
+)
 
-func (h minHeap) less(i, j int) bool {
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
-	}
-	return h[i].node < h[j].node
+// radixQueue is a monotone radix heap over the composite key (dist bits,
+// node ID). It pops keys in exactly the order a comparison heap ordered by
+// (dist, node) would — the Dijkstra settle order every run of this package
+// has always had — without comparing node IDs at all.
+//
+// last is the distance of the level being popped. Every key at exactly
+// that distance sits in level, a bitset over node IDs, so the level pops
+// in node order by bit scans. Every farther key sits in bucket i, where i
+// is the highest bit at which its distance bits differ from last. When the
+// level runs dry, the lowest non-empty bucket's minimum distance becomes
+// last and only that bucket is redistributed: its keys at the new last
+// join the level, and each other key drops to a strictly lower bucket, so
+// a key moves at most 63 times, and in practice a few. A relaxation can
+// never lower a distance below last (weights are non-negative), and one
+// that keeps it at last — a zero-weight edge, or a weight too small to
+// change the float sum — just joins the level, whatever its node ID.
+// Keys are unique (relax pushes a node again only at a strictly shorter
+// distance), so the level can be a set.
+//
+// A bucket is a linked list of fixed-size chunks of which only the head
+// may be partly filled. All buckets draw chunks from one shared pool with
+// a free list, and the pool allocates chunks one at a time, so a warm
+// queue allocates nothing and its footprint tracks the peak number of
+// queued items, as a binary heap's would, rather than the sum of every
+// bucket's own peak.
+type radixQueue struct {
+	last  uint64
+	level nodeSet
+	mask  uint64 // bit i set iff bucket i is non-empty
+	head  [64]int32
+	fill  [64]int32  // items in each bucket's head chunk
+	min   [64]uint64 // each non-empty bucket's smallest key
+	pool  []*[chunkLen]qItem
+	next  []int32 // the chunk after each chunk in its bucket or the free list
+	used  int32   // pool[:used] handed out since the last reset
+	free  int32   // free list of returned chunks
+	size  int
 }
 
-func (h *minHeap) push(it heapItem) {
-	*h = append(*h, it)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !(*h).less(i, p) {
-			break
+func newRadixQueue(n int) radixQueue {
+	return radixQueue{level: newNodeSet(n)}
+}
+
+func (q *radixQueue) reset() {
+	for q.size > 0 && !q.level.empty() { // a truncated run left a level
+		q.level.popMin()
+	}
+	for i := range q.head {
+		q.head[i] = noChunk
+	}
+	q.mask, q.last, q.size = 0, 0, 0
+	q.used, q.free = 0, noChunk
+}
+
+func (q *radixQueue) push(it qItem) {
+	q.size++
+	q.add(it)
+}
+
+func (q *radixQueue) add(it qItem) {
+	x := it.key ^ q.last
+	if x == 0 {
+		q.level.add(uint32(it.node))
+		return
+	}
+	b := 63 - bits.LeadingZeros64(x)
+	c, f := q.head[b], q.fill[b]
+	if c == noChunk {
+		q.mask |= 1 << b
+		q.min[b] = it.key
+	} else if it.key < q.min[b] {
+		q.min[b] = it.key
+	}
+	if c == noChunk || f == chunkLen {
+		nc := q.alloc()
+		q.next[nc] = c
+		q.head[b] = nc
+		c, f = nc, 0
+	}
+	q.pool[c][f] = it
+	q.fill[b] = f + 1
+}
+
+func (q *radixQueue) alloc() int32 {
+	if c := q.free; c != noChunk {
+		q.free = q.next[c]
+		return c
+	}
+	if int(q.used) == len(q.pool) {
+		q.pool = append(q.pool, new([chunkLen]qItem))
+		q.next = append(q.next, noChunk)
+	}
+	q.used++
+	return q.used - 1
+}
+
+// pop removes and returns the smallest key. The queue must not be empty.
+func (q *radixQueue) pop() qItem {
+	q.size--
+	if !q.level.empty() {
+		return qItem{key: q.last, node: NodeID(q.level.popMin())}
+	}
+	b := bits.TrailingZeros64(q.mask)
+	q.last = q.min[b]
+	q.mask &^= 1 << b
+	c, n := q.head[b], q.fill[b]
+	q.head[b] = noChunk
+	// The level's smallest node is returned directly, so a level of one —
+	// every level, on maps whose distances are all distinct — never
+	// touches the bitset.
+	best := None
+	for c != noChunk {
+		for _, it := range q.pool[c][:n] {
+			switch {
+			case it.key != q.last:
+				q.add(it)
+			case best == None:
+				best = it.node
+			case it.node < best:
+				q.level.add(uint32(best))
+				best = it.node
+			default:
+				q.level.add(uint32(it.node))
+			}
 		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-		i = p
+		next := q.next[c]
+		q.next[c] = q.free
+		q.free = c
+		c, n = next, chunkLen
 	}
+	return qItem{key: q.last, node: best}
 }
 
-func (h *minHeap) pop() heapItem {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
+// nodeSet is a hierarchical bitset over node IDs: lv[0] holds one bit per
+// node and lv[i+1] one bit per non-zero word of lv[i], up to a single top
+// word, so adding a node and removing the smallest take one word
+// operation per level (three at n=8192).
+type nodeSet struct {
+	lv [][]uint64
+}
+
+func newNodeSet(n int) nodeSet {
+	var s nodeSet
 	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && (*h).less(l, s) {
-			s = l
+		w := max((n+63)/64, 1)
+		s.lv = append(s.lv, make([]uint64, w))
+		if w == 1 {
+			return s
 		}
-		if r < n && (*h).less(r, s) {
-			s = r
+		n = w
+	}
+}
+
+func (s *nodeSet) empty() bool { return s.lv[len(s.lv)-1][0] == 0 }
+
+func (s *nodeSet) add(v uint32) {
+	for _, l := range s.lv {
+		w := v >> 6
+		old := l[w]
+		l[w] = old | 1<<(v&63)
+		if old != 0 {
+			return
 		}
-		if s == i {
+		v = w
+	}
+}
+
+// popMin removes and returns the smallest member. The set must not be
+// empty.
+func (s *nodeSet) popMin() uint32 {
+	var v uint32
+	for i := len(s.lv) - 1; i >= 0; i-- {
+		v = v<<6 | uint32(bits.TrailingZeros64(s.lv[i][v]))
+	}
+	for u, i := v, 0; i < len(s.lv); i++ {
+		w := u >> 6
+		s.lv[i][w] &^= 1 << (u & 63)
+		if s.lv[i][w] != 0 {
 			break
 		}
-		(*h)[i], (*h)[s] = (*h)[s], (*h)[i]
-		i = s
+		u = w
 	}
-	return top
+	return v
 }
 
 // SSSP is a reusable single-source shortest-path scratch space over a fixed
 // graph. Reuse across calls avoids reallocating O(n) arrays for the many
 // thousands of (truncated) Dijkstra runs the static simulator performs.
 // An SSSP is not safe for concurrent use; create one per goroutine.
+//
+// Nodes settle in (distance, node ID) order; Order, Dist, Parent and
+// Source are functions of that order and of the relax rule. The queue is
+// a monotone radix heap (radixQueue): it buckets distances by their IEEE
+// bits, which order like the values because distances are sums of finite
+// non-negative weights (never negative, NaN or -0), and pops each distance
+// level in node order from a bitset. Its pop sequence is therefore the same strict total order
+// a comparison heap over (dist, node) produces, and every run is
+// byte-identical to one over such a heap (a test keeps that heap as the
+// oracle). On maps with few distinct distances — unit-weight maps have a
+// handful, with thousands of nodes per level — it avoids the heap's
+// logarithmic node-ID tie-breaks per pop; a warm scratch allocates
+// nothing.
 type SSSP struct {
 	g       *Graph
 	dist    []float64
@@ -76,7 +236,7 @@ type SSSP struct {
 	stamp   []uint32
 	settled []uint32 // stamp marking fully settled nodes
 	epoch   uint32
-	heap    minHeap
+	queue   radixQueue
 	order   []NodeID // settle order of the last run
 }
 
@@ -94,6 +254,7 @@ func NewSSSP(g *Graph) *SSSP {
 		nearest: make([]NodeID, n),
 		stamp:   make([]uint32, n),
 		settled: make([]uint32, n),
+		queue:   newRadixQueue(n),
 	}
 }
 
@@ -109,7 +270,7 @@ func (s *SSSP) begin() {
 		}
 		s.epoch = 1
 	}
-	s.heap = s.heap[:0]
+	s.queue.reset()
 	s.order = s.order[:0]
 }
 
@@ -128,7 +289,7 @@ func (s *SSSP) relax(v NodeID, d float64, via NodeID, src NodeID) {
 	s.dist[v] = d
 	s.parent[v] = via
 	s.nearest[v] = src
-	s.heap.push(heapItem{dist: d, node: v})
+	s.queue.push(qItem{key: math.Float64bits(d), node: v})
 }
 
 // run executes Dijkstra from the given sources, stopping when `limit` nodes
@@ -140,22 +301,22 @@ func (s *SSSP) run(sources []NodeID, limit int, radius float64) {
 	for _, src := range sources {
 		s.relax(src, 0, None, src)
 	}
-	for len(s.heap) > 0 {
+	for s.queue.size > 0 {
 		if limit >= 0 && len(s.order) >= limit {
 			return
 		}
-		it := s.heap.pop()
-		v := it.node
-		if s.settled[v] == s.epoch || it.dist != s.dist[v] {
+		it := s.queue.pop()
+		v, d := it.node, math.Float64frombits(it.key)
+		if s.settled[v] == s.epoch || d != s.dist[v] {
 			continue // stale entry
 		}
-		if radius >= 0 && it.dist >= radius {
+		if radius >= 0 && d >= radius {
 			return
 		}
 		s.settled[v] = s.epoch
 		s.order = append(s.order, v)
 		for _, e := range s.g.adj[v] {
-			s.relax(e.To, it.dist+e.Weight, v, s.nearest[v])
+			s.relax(e.To, d+e.Weight, v, s.nearest[v])
 		}
 	}
 }

@@ -110,6 +110,12 @@ func (c *Cache) Reset() {
 // where a Cache would allocate O(n) per root for a single lookup. Not safe
 // for concurrent use; one per worker, shareable between the protocol forks
 // of that worker so they reuse each other's Dijkstra runs.
+//
+// Bind is the stretch denominator of every routing sweep and the S4
+// destination tree, so the kernel's cost is this view's cost: one full
+// graph.SSSP run per new root, on the radix-heap queue, in the same
+// (distance, node ID) settle order — and so the same parents and paths —
+// as a comparison-heap Dijkstra.
 type Lazy struct {
 	s     *graph.SSSP
 	root  graph.NodeID

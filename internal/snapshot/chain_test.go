@@ -240,7 +240,8 @@ func TestShardsRebuiltZeroShards(t *testing.T) {
 }
 
 // TestApplyRecoveriesErrors pins the error cases: already-alive links,
-// negative weights, self-loops and empty sets are caller mistakes.
+// negative, NaN or infinite weights, self-loops and empty sets are caller
+// mistakes.
 func TestApplyRecoveriesErrors(t *testing.T) {
 	env := buildEnv(t, 96, 2)
 	base := mustBuild(t, env, vicinity.DefaultK(env.N()), false)
@@ -262,8 +263,10 @@ func TestApplyRecoveriesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ApplyFailures: %v", err)
 	}
-	if _, err := rep.ApplyRecoveries([]graph.WeightedLink{{U: key.U, V: key.V, W: -1}}); err == nil {
-		t.Error("negative weight should error")
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if _, err := rep.ApplyRecoveries([]graph.WeightedLink{{U: key.U, V: key.V, W: w}}); err == nil {
+			t.Errorf("weight %v should error", w)
+		}
 	}
 	// And the round trip works with the true weight.
 	back, err := rep.ApplyRecoveries([]graph.WeightedLink{{U: key.U, V: key.V, W: e.Weight}})

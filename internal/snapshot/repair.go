@@ -240,9 +240,10 @@ func (s *Snapshot) ApplyFailures(fails []graph.EdgeKey) (*Snapshot, error) {
 // given restored links — the dual of ApplyFailures, repairing the same
 // blast radius in reverse. Each restored link must not currently exist
 // (restore what failed, with the weight the failed graph no longer
-// records); links are deduplicated and a negative weight is an error. On a
-// connected result the recovered snapshot is byte-identical (in
-// CanonicalBytes form) to a from-scratch build of the recovered topology.
+// records); links are deduplicated and a negative, NaN or infinite weight
+// is an error. On a connected result the recovered snapshot is
+// byte-identical (in CanonicalBytes form) to a from-scratch build of the
+// recovered topology.
 func (s *Snapshot) ApplyRecoveries(restores []graph.WeightedLink) (*Snapshot, error) {
 	n := s.g.N()
 	seen := make(map[graph.EdgeKey]bool, len(restores))
@@ -252,8 +253,8 @@ func (s *Snapshot) ApplyRecoveries(restores []graph.WeightedLink) (*Snapshot, er
 		if key.U == key.V || key.U < 0 || int(key.V) >= n {
 			return nil, fmt.Errorf("snapshot: invalid link %d-%d", r.U, r.V)
 		}
-		if r.W < 0 {
-			return nil, fmt.Errorf("snapshot: negative weight %v on restored link %d-%d", r.W, r.U, r.V)
+		if r.W < 0 || math.IsNaN(r.W) || math.IsInf(r.W, 0) {
+			return nil, fmt.Errorf("snapshot: weight %v on restored link %d-%d is not finite and non-negative", r.W, r.U, r.V)
 		}
 		if s.g.EdgeID(key.U, key.V) >= 0 {
 			return nil, fmt.Errorf("snapshot: link %d-%d is already alive", key.U, key.V)
